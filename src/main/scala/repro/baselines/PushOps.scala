@@ -1,10 +1,13 @@
 package repro.baselines
 
+import scala.collection.mutable.ArrayBuffer
+
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.graph.Graph
+import repro.graph.{Frontier, Graph}
 
-/** Level-wise push primitives shared by the baseline methods.
+/** Level-wise push primitives shared by the baseline methods, both over the
+  * CSR kernel [[repro.graph.LocalGraph.push]].
   *
   * Conventions match the paper: `h^{(l)}(v, w)` is the probability that a
   * \sqrt{c}-walk from `v` is at `w` after `l` steps. A *forward* push from
@@ -14,34 +17,18 @@ import repro.graph.Graph
   */
 object PushOps {
 
-  /** Forward push from `u`: levels 0..maxLevel of `h^{(l)}(u, .)`.
-    * Entries with `h < prune` are dropped *before* being pushed (prune = 0
-    * gives the exact exhaustive propagation).
+  /** Forward push from `u` on the driver: levels 0..maxLevel of
+    * `h^{(l)}(u, .)`. Entries with `h < prune` are kept in the output but
+    * not pushed (prune = 0 gives the exact exhaustive propagation).
     */
   def forwardPush(g: Graph, u: Long, c: Double, maxLevel: Int,
                   prune: Double): IndexedSeq[Map[Long, Double]] = {
-    val spark = g.spark
-    import spark.implicits._
+    val lg    = g.local
     val sqrtC = math.sqrt(c)
-    val out   = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](Map(u -> 1.0))
-    var front = Map(u -> 1.0)
-    var l     = 0
-    while (l < maxLevel && front.nonEmpty) {
-      val pushers = front.filter(_._2 >= prune)
-      front =
-        if (pushers.isEmpty) Map.empty
-        else {
-          val fDf = pushers.toSeq.toDF("fnode", "h")
-          g.edgesWithInDeg
-            .join(broadcast(fDf), col("dst") === col("fnode"))
-            .select(col("src"), (lit(sqrtC) * col("h") / col("din")).as("contrib"))
-            .groupBy("src").agg(sum("contrib").as("h"))
-            .collect()
-            .map(r => r.getLong(0) -> r.getDouble(1))
-            .toMap
-        }
-      out += front
-      l += 1
+    val out   = ArrayBuffer(Map(u -> 1.0))
+    while (out.size <= maxLevel && out.last.nonEmpty) {
+      val pushers = out.last.filter(_._2 >= prune)
+      out += lg.push(Frontier(pushers), sqrtC, reverse = false).toMap
     }
     out.toIndexedSeq
   }
@@ -49,32 +36,29 @@ object PushOps {
   /** Multi-seed reverse expansion: given seeds `(key, node)` each carrying
     * mass 1 at level 0, returns `(key, level, node, h)` for levels
     * 0..maxLevel where `h = h^{(level)}(node, seed(key))`. Entries below
-    * `prune` are dropped after each aggregation (SLING-style truncation).
+    * `prune` are dropped after each level (SLING-style truncation).
     *
-    * One distributed job per level; lineage is cut with localCheckpoint so
-    * deep expansions do not accumulate Catalyst plans.
+    * One Spark job fans the seeds out over the broadcast CSR graph; each
+    * seed's levels are pushed within its task.
     */
   def reverseExpand(g: Graph, seeds: DataFrame, c: Double, maxLevel: Int,
                     prune: Double): DataFrame = {
     val spark = g.spark
+    import spark.implicits._
+    val bc    = spark.sparkContext.broadcast(g.local)
     val sqrtC = math.sqrt(c)
-    var state = seeds.select(col("key"), lit(0).as("level"), col("node"), lit(1.0).as("h"))
-      .localCheckpoint(true)
-    var acc = state
-    var l   = 0
-    var n   = state.count()
-    while (l < maxLevel && n > 0) {
-      state = g.edgesWithInDeg
-        .join(state.withColumnRenamed("node", "snode"), col("src") === col("snode"))
-        .select(col("key"), (col("level") + 1).as("level"), col("dst").as("node"),
-          (lit(sqrtC) * col("h") / col("din")).as("contrib"))
-        .groupBy("key", "level", "node").agg(sum("contrib").as("h"))
-        .where(col("h") >= prune)
-        .localCheckpoint(true)
-      n = state.count()
-      if (n > 0) acc = acc.unionByName(state)
-      l += 1
-    }
-    acc
+    seeds.select(col("key").cast("long"), col("node").cast("long")).as[(Long, Long)]
+      .flatMap { case (key, node) =>
+        val rows  = ArrayBuffer((key, 0, node, 1.0))
+        var front = Frontier.single(node.toInt)
+        var l     = 0
+        while (l < maxLevel && !front.isEmpty) {
+          l += 1
+          front = bc.value.push(front, sqrtC, reverse = true).filter((_, h) => h >= prune)
+          front.nodes.indices.foreach(i => rows += ((key, l, front.nodes(i).toLong, front.mass(i))))
+        }
+        rows
+      }
+      .toDF("key", "level", "node", "h")
   }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.functions._
-import repro.graph.Graph
+import repro.graph.{Frontier, Graph}
 
 /** TopSim [15] (Section 2.2): index-free. Expands a truncated random-walk
   * tree of depth `T` from the query node, keeping at most `H` nodes per
@@ -30,7 +30,8 @@ object TopSim {
     val sqrtC = math.sqrt(p.c)
     val local = g.local
 
-    // Truncated forward expansion: h^{(l)}(u, .) with TopSim's pruning.
+    // Truncated forward expansion: h^{(l)}(u, .) with TopSim's pruning; each
+    // level keeps its H largest entries, ties broken by node id.
     var front: Map[Long, Double] = Map(u -> 1.0)
     val levels = scala.collection.mutable.ArrayBuffer[Map[Long, Double]](front)
     var l = 0
@@ -38,19 +39,8 @@ object TopSim {
       val expandable = front.filter { case (v, h) =>
         h >= p.eta && local.inDeg(v.toInt) > 0 && local.inDeg(v.toInt) <= p.invH
       }
-      front =
-        if (expandable.isEmpty) Map.empty
-        else {
-          val fDf = expandable.toSeq.toDF("fnode", "h")
-          val next = g.edgesWithInDeg
-            .join(broadcast(fDf), col("dst") === col("fnode"))
-            .select(col("src"), (lit(sqrtC) * col("h") / col("din")).as("contrib"))
-            .groupBy("src").agg(sum("contrib").as("h"))
-            .orderBy(col("h").desc)
-            .limit(p.H)
-            .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-          next
-        }
+      front = local.push(Frontier(expandable), sqrtC, reverse = false).toMap
+        .toSeq.sortBy { case (v, h) => (-h, v) }.take(p.H).toMap
       levels += front
       l += 1
     }

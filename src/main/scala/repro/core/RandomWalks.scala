@@ -10,8 +10,7 @@ import repro.graph.Graph
   * The graph's CSR form is broadcast to executors and each partition
   * simulates its share of walks independently — one Spark job regardless of
   * walk count. This is the standard dataflow pattern for random walks on a
-  * graph that fits executor memory; the *push* phases (the paper's actual
-  * contribution) stay join-based.
+  * graph that fits executor memory.
   */
 object RandomWalks {
 

@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
-import repro.graph.Graph
+import repro.graph.{Frontier, Graph}
 
 /** Stage 3 of SimPush (Section 4.3, Algorithm 5): push the residues
   * `r^{(l)}(w) = h^{(l)}(u,w) * gamma^{(l)}(w)` of all attention nodes down
@@ -11,7 +10,8 @@ import repro.graph.Graph
   *
   * Residues aggregated at the same node and level are combined and pushed
   * together; a residue is pushed only if `sqrt(c) * r >= epsH` (line 4),
-  * which bounds the work by O(m log(1/eps)) (Lemma 7).
+  * which bounds the work by O(m log(1/eps)) (Lemma 7). Runs on the driver
+  * over the CSR graph.
   */
 object ReversePush {
 
@@ -22,42 +22,20 @@ object ReversePush {
     */
   def run(g: Graph, residues: Map[(Int, Long), Double], L: Int, c: Double,
           epsH: Double): Map[Long, Double] = {
-    val spark = g.spark
-    import spark.implicits._
+    val lg     = g.local
     val sqrtC  = math.sqrt(c)
-    val scores = scala.collection.mutable.Map.empty[Long, Double]
-
-    var level = L
-    var state: Map[Long, Double] =
-      residues.collect { case ((l, w), r) if l == L => w -> r }.toMap
+    val seeded = residues.groupMap(_._1._1) { case ((_, w), r) => w -> r }
+    var state  = Map.empty[Long, Double]
+    var level  = L
     while (level >= 1) {
-      val pushers = state.filter { case (_, r) => sqrtC * r >= epsH }
-      val pushed: Map[Long, Double] =
-        if (pushers.isEmpty) Map.empty
-        else {
-          val pDf = pushers.toSeq.toDF("pnode", "r")
-          // r flows from v' to each out-neighbor v with weight sqrt(c)/din(v).
-          g.edgesWithInDeg
-            .join(broadcast(pDf), col("src") === col("pnode"))
-            .select(col("dst"), (lit(sqrtC) * col("r") / col("din")).as("contrib"))
-            .groupBy("dst")
-            .agg(sum("contrib").as("r"))
-            .collect()
-            .map(row => row.getLong(0) -> row.getDouble(1))
-            .toMap
-        }
-      if (level - 1 >= 1) {
-        // Combine with the initial residues seeded at the next level down.
-        val seeded = residues.collect { case ((l, w), r) if l == level - 1 => w -> r }
-        state = (pushed.keySet ++ seeded.keySet).iterator.map { v =>
-          v -> (pushed.getOrElse(v, 0.0) + seeded.toMap.getOrElse(v, 0.0))
-        }.toMap
-      } else {
-        pushed.foreach { case (v, r) => scores.update(v, scores.getOrElse(v, 0.0) + r) }
-        state = Map.empty
+      // Combine the mass pushed down from level+1 with the residues seeded here.
+      state = seeded.getOrElse(level, Nil).foldLeft(state) { case (s, (w, r)) =>
+        s.updated(w, s.getOrElse(w, 0.0) + r)
       }
+      val pushers = state.filter { case (_, r) => sqrtC * r >= epsH }
+      state = lg.push(Frontier(pushers), sqrtC, reverse = true).toMap
       level -= 1
     }
-    scores.toMap
+    state
   }
 }

@@ -4,9 +4,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** A directed graph as a DataFrame of distinct edges `(src, dst)` with node
-  * ids dense in `[0, numNodes)`. Every level-wise push in this repo joins a
-  * (small) frontier against [[edgesWithInDeg]], which is the Catalyst-side
-  * representation of the transition structure used by \sqrt{c}-walks.
+  * ids dense in `[0, numNodes)`. The level-wise pushes run on its CSR copy
+  * [[local]]; [[edgesWithInDeg]] is the Catalyst-side transition structure
+  * that ProbeSim's probes and the power method join against.
   */
 final class Graph(
     @transient val spark: SparkSession,
@@ -36,10 +36,12 @@ final class Graph(
       .cache()
   }
 
-  /** Driver-side CSR copy, broadcast to executors for walk simulation.
-    * Materialized lazily; the graphs in this repro fit comfortably.
+  /** Driver-side CSR copy: every level push runs on it, and it is broadcast
+    * to executors for walk simulation and index fan-out. Materialized
+    * lazily; the graphs in this repro fit comfortably.
     */
   lazy val local: LocalGraph = {
+    require(numNodes <= Int.MaxValue, s"$numNodes nodes do not fit the Int ids of the CSR graph")
     val es = edges.select(col("src").cast("int"), col("dst").cast("int"))
       .collect()
       .map(r => (r.getInt(0), r.getInt(1)))

@@ -2,9 +2,10 @@ package repro.graph
 
 import java.util.SplittableRandom
 
-/** Compact CSR copy of a directed graph, broadcast to executors for
-  * embarrassingly-parallel random-walk simulation, and used on the driver
-  * for exact reference computations on small graphs.
+/** Compact CSR copy of a directed graph. Every level-wise push runs on it
+  * through [[push]], on the driver or per seed in a Spark task; it is also
+  * broadcast to executors for embarrassingly-parallel random-walk
+  * simulation.
   *
   * Node ids must be dense in `[0, n)`. Edges are directed `src -> dst`;
   * a \sqrt{c}-walk moves from a node to a uniformly random *in*-neighbor.
@@ -62,29 +63,85 @@ final class LocalGraph(
     buf.toArray
   }
 
-  /** Simulate two independent \sqrt{c}-walks from `start` and report whether
-    * they ever meet (same node at the same step `>= 1`). Used to estimate the
-    * last-meeting probability eta(w) = Pr[never meet] of SLING/PRSim.
+  /** Simulate two independent \sqrt{c}-walks, one from `a` and one from `b`,
+    * and report whether they ever meet (same node at the same step `>= 1`).
+    * The meeting frequency over many pairs estimates `s(a, b)` (Monte-Carlo
+    * SimRank); with `a == b` it estimates `1 - eta(a)`, the last-meeting
+    * probability of SLING/PRSim.
     */
-  def pairWalksMeet(start: Int, c: Double, maxSteps: Int, rng: SplittableRandom): Boolean = {
+  def pairWalksMeet(a: Int, b: Int, c: Double, maxSteps: Int, rng: SplittableRandom): Boolean = {
     val sqrtC = math.sqrt(c)
-    var a = start; var b = start
+    var x = a; var y = b
     var step = 0
     while (step < maxSteps) {
       // advance both; either may die this step
-      val aLive = rng.nextDouble() < sqrtC && inDeg(a) > 0
-      val bLive = rng.nextDouble() < sqrtC && inDeg(b) > 0
-      if (!aLive || !bLive) return false
-      a = randomInNeighbor(a, rng)
-      b = randomInNeighbor(b, rng)
+      val xLive = rng.nextDouble() < sqrtC && inDeg(x) > 0
+      val yLive = rng.nextDouble() < sqrtC && inDeg(y) > 0
+      if (!xLive || !yLive) return false
+      x = randomInNeighbor(x, rng)
+      y = randomInNeighbor(y, rng)
       step += 1
-      if (a == b) return true
+      if (x == y) return true
     }
     false
+  }
+
+  /** Per-thread scratch of [[push]]: `slot(v)` is `v`'s index in the level
+    * being built, or -1. It is all -1 between calls.
+    */
+  @transient private lazy val slots: ThreadLocal[Array[Int]] =
+    ThreadLocal.withInitial(() => Array.fill(n)(-1))
+
+  /** The level-push kernel behind every level-wise propagation in this repo
+    * (Source-Push, Reverse-Push and the baselines' pushes). Mass `h` at a
+    * frontier node flows along each of its edges `x -> y` with weight
+    * `sqrtC / din(y)`:
+    *  - `reverse = false` (walk direction): from `y` to every in-neighbor
+    *    `x`, so pushing `h^{(l)}(u, .)` gives `h^{(l+1)}(u, .)`;
+    *  - `reverse = true`: from `x` to every out-neighbor `y`, so pushing
+    *    `h^{(l)}(., w)` gives `h^{(l+1)}(., w)`.
+    * Every edge pushed along is reported as `onEdge(x, y)`. Pruning and
+    * truncation are the caller's policy: the kernel keeps all mass.
+    *
+    * @return the next level, nodes in the order they are first reached
+    */
+  def push(front: Frontier, sqrtC: Double, reverse: Boolean,
+           onEdge: (Int, Int) => Unit = LocalGraph.NoEdge): Frontier = {
+    val off  = if (reverse) outOff else inOff
+    val adj  = if (reverse) outAdj else inAdj
+    val slot = slots.get()
+    var cap  = 0L
+    var i    = 0
+    while (i < front.size) { val v = front.nodes(i); cap += off(v + 1) - off(v); i += 1 }
+    val nodes = new Array[Int](math.min(cap, n.toLong).toInt)
+    val mass  = new Array[Double](nodes.length)
+    var k = 0
+    try {
+      i = 0
+      while (i < front.size) {
+        val v = front.nodes(i)
+        val h = sqrtC * front.mass(i)
+        var e = off(v)
+        while (e < off(v + 1)) {
+          val w = adj(e)
+          if (slot(w) < 0) { slot(w) = k; nodes(k) = w; k += 1 }
+          if (reverse) { mass(slot(w)) += h / inDeg(w); onEdge(v, w) }
+          else { mass(slot(w)) += h / inDeg(v); onEdge(w, v) }
+          e += 1
+        }
+        i += 1
+      }
+    } finally { // leave the scratch clean even if onEdge throws
+      i = 0
+      while (i < k) { slot(nodes(i)) = -1; i += 1 }
+    }
+    new Frontier(java.util.Arrays.copyOf(nodes, k), java.util.Arrays.copyOf(mass, k))
   }
 }
 
 object LocalGraph {
+
+  private val NoEdge: (Int, Int) => Unit = (_, _) => ()
 
   /** Build a CSR graph from an edge list with node ids in `[0, n)`. */
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): LocalGraph = {
@@ -106,4 +163,30 @@ object LocalGraph {
     }
     new LocalGraph(n, inOff, inAdj, outOff, outAdj)
   }
+}
+
+/** A sparse level vector, the unit [[LocalGraph.push]] works on: mass
+  * `mass(i)` sits at node `nodes(i)`, and node ids are distinct.
+  */
+final class Frontier(val nodes: Array[Int], val mass: Array[Double]) {
+  def size: Int        = nodes.length
+  def isEmpty: Boolean = nodes.isEmpty
+
+  /** The entries with `keep(node, mass)`, in order. */
+  def filter(keep: (Int, Double) => Boolean): Frontier = {
+    val idx = nodes.indices.filter(i => keep(nodes(i), mass(i)))
+    new Frontier(idx.map(nodes).toArray, idx.map(mass).toArray)
+  }
+
+  def toMap: Map[Long, Double] = nodes.indices.iterator.map(i => nodes(i).toLong -> mass(i)).toMap
+}
+
+object Frontier {
+  def apply(m: Map[Long, Double]): Frontier = {
+    val es = m.toArray
+    new Frontier(es.map(_._1.toInt), es.map(_._2))
+  }
+
+  /** Mass 1 at node `v`. */
+  def single(v: Int): Frontier = new Frontier(Array(v), Array(1.0))
 }

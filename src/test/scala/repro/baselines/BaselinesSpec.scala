@@ -45,6 +45,14 @@ class BaselinesSpec extends SparkSpec {
       val expect = TestRefs.hittingDP(g.local, v, c, l)(l)(w)
       assert(math.abs(rows.getOrElse((l, v.toLong), 0.0) - expect) < 1e-9, s"l=$l v=$v")
     }
+    // Several seeds in one call, one of them a second key on the same node:
+    // every key's rows equal its own single-seed call.
+    def expand(seeds: (Long, Long)*) =
+      PushOps.reverseExpand(g, seeds.toDF("key", "node"), c, maxLevel = 3, prune = 0.05)
+        .collect().map(r => (r.getLong(0), r.getInt(1), r.getLong(2), r.getDouble(3))).sorted.toSeq
+    val w2 = g.local.outNeighbors(w).head.toLong
+    val singles = expand(1L -> w.toLong) ++ expand(2L -> w2) ++ expand(3L -> w.toLong)
+    assert(expand(1L -> w.toLong, 2L -> w2, 3L -> w.toLong) == singles.sorted)
   }
 
   // ---------------- Eta ----------------

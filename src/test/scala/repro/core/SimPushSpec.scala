@@ -31,6 +31,22 @@ class SimPushSpec extends SparkSpec {
     assert(over <= 1e-5, s"overestimate $over — SimPush must underestimate")
   }
 
+  test("SimPushParams rejects eps, c or delta outside (0,1)") {
+    for (bad <- Seq(0.0, 1.0, -0.1, 1.5, Double.NaN)) {
+      intercept[IllegalArgumentException](SimPushParams(bad))
+      intercept[IllegalArgumentException](SimPushParams(0.1, c = bad))
+      intercept[IllegalArgumentException](SimPushParams(0.1, delta = bad))
+    }
+  }
+
+  test("singleSource rejects a query node outside [0, n)") {
+    val g = TestGraphs.all(spark).toMap.apply("toy")
+    for (u <- Seq(-1L, g.numNodes)) {
+      val e = intercept[IllegalArgumentException](SimPush.singleSource(g, u, SimPushParams(0.2)))
+      assert(e.getMessage.contains(s"query node $u"))
+    }
+  }
+
   test("self similarity is 1 and absent nodes mean 0") {
     val g = TestGraphs.all(spark).toMap.apply("toy")
     val r = SimPush.singleSource(g, 0, SimPushParams(0.2))

@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{Oracle, SparkSpec, TestGraphs, TestRefs}
 
 /** Graph wrapper + generators: structural invariants, and DuckDB-oracle
   * checks for the degree/statistics queries.
@@ -51,6 +51,34 @@ class GraphSpec extends SparkSpec {
       for (v <- 0 until lg.n) {
         assert(lg.inDeg(v) == edges.count(_._2 == v), s"graph $name node $v")
         assert(lg.outDeg(v) == edges.count(_._1 == v), s"graph $name node $v")
+      }
+    }
+  }
+
+  test("local rejects node counts beyond Int ids") {
+    val g = Graph.fromEdgeList(spark, Int.MaxValue.toLong + 1, Seq((0L, 1L)))
+    val e = intercept[IllegalArgumentException](g.local)
+    assert(e.getMessage.contains("2147483648"))
+  }
+
+  test("push kernel equals the hitting DP in both directions on every test graph") {
+    val c = 0.6; val maxL = 4
+    for ((name, g) <- TestGraphs.all(spark) :+ ("star" -> TestGraphs.star(spark))) {
+      val lg  = g.local
+      val dps = (0 until lg.n).map(TestRefs.hittingDP(lg, _, c, maxL)) // dps(a)(l)(b) = h^{(l)}(a, b)
+      for (s <- 0 until lg.n) {
+        var fwd = Frontier.single(s)
+        var rev = Frontier.single(s)
+        for (l <- 1 to maxL) {
+          fwd = lg.push(fwd, math.sqrt(c), reverse = false)
+          rev = lg.push(rev, math.sqrt(c), reverse = true)
+          val (f, r) = (fwd.toMap, rev.toMap)
+          assert(f.size == fwd.size && r.size == rev.size, s"$name: repeated node ids")
+          for (v <- 0 until lg.n) {
+            assert(math.abs(f.getOrElse(v.toLong, 0.0) - dps(s)(l)(v)) < 1e-9, s"$name fwd s=$s l=$l v=$v")
+            assert(math.abs(r.getOrElse(v.toLong, 0.0) - dps(v)(l)(s)) < 1e-9, s"$name rev s=$s l=$l v=$v")
+          }
+        }
       }
     }
   }

@@ -76,7 +76,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
   test("pairWalksMeet never reports a meeting when the start has no in-edges") {
     val lg  = LocalGraph.fromEdges(3, Seq((0, 1), (1, 2)))
     val rng = new SplittableRandom(1)
-    (0 until 200).foreach(_ => assert(!lg.pairWalksMeet(0, 0.6, 10, rng)))
+    (0 until 200).foreach(_ => assert(!lg.pairWalksMeet(0, 0, 0.6, 10, rng)))
   }
 
   test("pairWalksMeet always meets on a self-referential pair graph") {
@@ -84,7 +84,7 @@ class LocalGraphPropSpec extends AnyFunSuite {
     // meeting probability is c per step pair, so over many trials some meet.
     val lg  = LocalGraph.fromEdges(2, Seq((1, 0), (0, 1)))
     val rng = new SplittableRandom(2)
-    val meets = (0 until 2000).count(_ => lg.pairWalksMeet(0, 0.6, 30, rng))
+    val meets = (0 until 2000).count(_ => lg.pairWalksMeet(0, 0, 0.6, 30, rng))
     // exact meet probability: both survive & land on 1: geometric with p=c
     // summed: c + (c... here each step both at same node, so P(meet) = c/(1) ...
     // empirically it must be close to c/(2-c) = 0.6/1.4 if walks continue... just
