@@ -45,7 +45,7 @@ object PushOps {
                     prune: Double): DataFrame = {
     val spark = g.spark
     import spark.implicits._
-    val bc    = spark.sparkContext.broadcast(g.local)
+    val bc    = g.localBroadcast
     val sqrtC = math.sqrt(c)
     seeds.select(col("key").cast("long"), col("node").cast("long")).as[(Long, Long)]
       .flatMap { case (key, node) =>

@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.apache.spark.sql.functions._
 import repro.graph.{Frontier, Graph}
 
 /** The source graph `G_u` produced by Source-Push (Algorithm 2), collected to
@@ -37,9 +36,11 @@ final case class SourceGraph(
 }
 
 /** Stage 1 of SimPush (Section 4.1): detect the max level L by Monte-Carlo
-  * walk sampling (one Spark job), then propagate hitting probabilities from
-  * the query node level by level over the CSR graph on the driver,
-  * recording `G_u` along the way.
+  * walk sampling, then propagate hitting probabilities from the query node
+  * level by level over the CSR graph on the driver, recording `G_u` along
+  * the way. The walks are one Spark job that counts visits into per-task
+  * primitive arrays ([[RandomWalks.countVisits]]); L is read straight off
+  * the summed array, with no DataFrame, shuffle or row per visit.
   */
 object SourcePush {
 
@@ -74,21 +75,21 @@ object SourcePush {
   def run(g: Graph, u: Long, c: Double, epsHv: Double, delta: Double,
           maxWalks: Long = 2_000_000L, seed: Long = 42L): SourceGraph = {
     val lStar = maxLevelBound(epsHv, c)
+    val lg    = g.local
 
     // --- Monte-Carlo level detection (Algorithm 2, lines 1-8) ---
+    // L = the deepest step >= 1 that some node is visited at by at least
+    // `threshold` walks; the counts are indexed `step * n + node`.
     val numWalks  = math.max(1000L, math.min(maxWalks, walkBudget(epsHv, c, delta)))
     val threshold = (epsHv / 2.0) * numWalks
-    val counts = RandomWalks.visitCounts(g, u, numWalks, c, lStar, seed)
-      .where(col("step") >= 1 && col("visits") >= threshold)
-      .agg(max("step"))
-      .collect()
-    val lDetected = counts.headOption.flatMap(r => Option(r.get(0))).map(_.toString.toInt).getOrElse(0)
+    val n         = lg.n
+    val visits    = RandomWalks.countVisits(g, u, numWalks, c, math.max(lStar, 0), seed)
+    val lDetected = (visits.length - 1 to n by -1).find(visits(_) >= threshold).fold(0)(_ / n)
     val L = math.min(lDetected, lStar)
 
     // --- Exhaustive residue propagation (Algorithm 2, lines 9-21) ---
     // Pushing h^{(l)}(u, .) along in-edges gives h^{(l+1)}(u, .); the edges
     // pushed along are exactly the G_u edges between levels l+1 and l.
-    val lg        = g.local
     val sqrtC     = math.sqrt(c)
     val hLevels   = ArrayBuffer(Map(u -> 1.0))
     val downEdges = ArrayBuffer[Array[(Long, Long)]]()

@@ -3,9 +3,10 @@ package repro.graph
 import java.util.SplittableRandom
 
 /** Compact CSR copy of a directed graph. Every level-wise push runs on it
-  * through [[push]], on the driver or per seed in a Spark task; it is also
-  * broadcast to executors for embarrassingly-parallel random-walk
-  * simulation.
+  * through [[push]], on the driver or per seed in a Spark task, and every
+  * \sqrt{c}-walk through [[walk]]; it is broadcast to executors (once per
+  * graph, [[Graph.localBroadcast]]) for embarrassingly-parallel walk
+  * simulation and index fan-out.
   *
   * Node ids must be dense in `[0, n)`. Edges are directed `src -> dst`;
   * a \sqrt{c}-walk moves from a node to a uniformly random *in*-neighbor.
@@ -39,27 +40,32 @@ final class LocalGraph(
   def randomInNeighbor(v: Int, rng: SplittableRandom): Int =
     inAdj(inOff(v) + rng.nextInt(inDeg(v)))
 
-  /** Simulate one \sqrt{c}-walk from `start` (Definition 2 of the paper):
-    * at each step the walk stops with probability `1 - sqrt(c)`, otherwise
-    * jumps to a random in-neighbor (or stops if there is none). Returns the
-    * visited nodes; index `l` is the position at step `l` (index 0 = start).
-    * At most `maxSteps` steps are taken beyond the start.
+  /** The step loop of every \sqrt{c}-walk in this repo (Definition 2 of
+    * the paper): at each step the walk stops with probability `1 - sqrt(c)`,
+    * otherwise jumps to a uniformly random in-neighbor (or stops if there is
+    * none). Calls `visit(step, node)` for every position, from `(0, start)`
+    * on; at most `maxSteps` steps are taken beyond the start. Each step draws
+    * `rng.nextDouble()` and then, if the walk moves, `rng.nextInt(inDeg)`, so
+    * a walk is a function of its generator's state alone.
+    */
+  def walk(start: Int, c: Double, maxSteps: Int, rng: SplittableRandom)(visit: (Int, Int) => Unit): Unit = {
+    val sqrtC = math.sqrt(c)
+    var cur   = start
+    var step  = 0
+    visit(0, cur)
+    while (step < maxSteps && rng.nextDouble() < sqrtC && inDeg(cur) > 0) {
+      cur = randomInNeighbor(cur, rng)
+      step += 1
+      visit(step, cur)
+    }
+  }
+
+  /** One \sqrt{c}-walk from `start` through [[walk]]: the visited nodes,
+    * index `l` being the position at step `l` (index 0 = start).
     */
   def sqrtCWalk(start: Int, c: Double, maxSteps: Int, rng: SplittableRandom): Array[Int] = {
-    val sqrtC = math.sqrt(c)
-    val buf   = new scala.collection.mutable.ArrayBuffer[Int](8)
-    var cur   = start
-    buf += cur
-    var step = 0
-    var live = true
-    while (live && step < maxSteps) {
-      if (rng.nextDouble() >= sqrtC || inDeg(cur) == 0) live = false
-      else {
-        cur = randomInNeighbor(cur, rng)
-        buf += cur
-        step += 1
-      }
-    }
+    val buf = new scala.collection.mutable.ArrayBuffer[Int](8)
+    walk(start, c, maxSteps, rng)((_, v) => buf += v)
     buf.toArray
   }
 

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestGraphs, TestRefs}
+import repro.graph.Graph
 
 class RandomWalksSpec extends SparkSpec {
 
@@ -66,6 +67,50 @@ class RandomWalksSpec extends SparkSpec {
       .map(r => (r.getLong(0), r.getInt(1), r.getLong(2))).toSet
     assert(sig(11) == sig(11))
     assert(sig(11) != sig(12))
+  }
+
+  /** The oracle for [[RandomWalks.countVisits]]: the DataFrame
+    * `groupBy(step, node).count` of the per-visit walk rows.
+    */
+  private def oracleCounts(g: Graph, start: Long, numWalks: Long, maxSteps: Int,
+                           seed: Long): Map[(Int, Long), Long] =
+    RandomWalks.sqrtCWalks(g, start, numWalks, c, maxSteps, seed)
+      .groupBy("step", "node").count()
+      .collect().map(r => (r.getInt(0), r.getLong(1)) -> r.getLong(2)).toMap
+
+  private def nonZero(counts: Array[Int], n: Int): Map[(Int, Long), Long] =
+    counts.indices.filter(counts(_) > 0).map(i => (i / n, (i % n).toLong) -> counts(i).toLong).toMap
+
+  // path6 walks end at the dead end 0; at maxSteps = 3 the cycle8 and
+  // complete5 walks (which never meet a dead end) are truncated.
+  for ((name, _) <- TestGraphs.directed(SparkSpec.shared); maxSteps <- Seq(3, 12)) {
+    test(s"visit counts equal the groupBy count of the walk rows on $name, maxSteps=$maxSteps") {
+      val g     = TestGraphs.directed(spark).toMap.apply(name)
+      val lg    = g.local
+      val start = (lg.n - 1 to 0 by -1).find(lg.inDeg(_) > 0).get
+      val got   = RandomWalks.countVisits(g, start, 20000, c, maxSteps, seed = 13)
+      assert(got.length == (maxSteps + 1) * lg.n)
+      assert(nonZero(got, lg.n) == oracleCounts(g, start, 20000, maxSteps, seed = 13))
+      if (name == "path6" && maxSteps == 12) // walks reach the dead end at step 5 and stop there
+        assert(got(5 * lg.n) > 0 && got.drop(6 * lg.n).forall(_ == 0))
+      if (name == "cycle8" && maxSteps == 3) // walks alive at the cap
+        assert(got.drop(3 * lg.n).sum > 0)
+    }
+  }
+
+  test("visit counts do not depend on the number of tasks") {
+    for ((name, g) <- TestGraphs.directed(spark)) {
+      val one = RandomWalks.countVisits(g, 1, 5000, c, 8, seed = 17, numSlices = 1)
+      assert(RandomWalks.countVisits(g, 1, 5000, c, 8, seed = 17).sameElements(one), name)
+      assert(RandomWalks.countVisits(g, 1, 5000, c, 8, seed = 17, numSlices = 7).sameElements(one), name)
+    }
+  }
+
+  test("visit counts fail fast when (maxSteps + 1) * n exceeds an Int index") {
+    val g = TestGraphs.directed(spark).toMap.apply("toy") // n = 8
+    val e = intercept[IllegalArgumentException](
+      RandomWalks.countVisits(g, 0, 100, c, maxSteps = Int.MaxValue / 8, seed = 1))
+    assert(e.getMessage.contains("exceed"), e.getMessage)
   }
 
   test("mix produces well-spread seeds") {

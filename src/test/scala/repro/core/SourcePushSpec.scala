@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestGraphs, TestRefs}
 
 class SourcePushSpec extends SparkSpec {
@@ -108,6 +109,14 @@ class SourcePushSpec extends SparkSpec {
     assert(sg.L == 0 && sg.attentionCount == 0)
   }
 
+  test("an L* below 0 (eps_h > 1) detects no level") {
+    val g    = TestGraphs.directed(spark).toMap.apply("toy")
+    val epsH = SourcePush.epsH(0.9, 0.01)
+    assert(SourcePush.maxLevelBound(epsH, 0.01) < 0)
+    val sg = SourcePush.run(g, 0, 0.01, epsH, delta, maxWalks = 1000)
+    assert(sg.L == 0 && sg.attentionCount == 0)
+  }
+
   test("source graph is deterministic given the seed") {
     val g = TestGraphs.directed(spark).toMap.apply("er60")
     val u = (0 until 60).find(g.local.inDeg(_) > 0).get
@@ -115,5 +124,24 @@ class SourcePushSpec extends SparkSpec {
     val a = SourcePush.run(g, u, c, epsH, delta, maxWalks = 20000, seed = 5)
     val b = SourcePush.run(g, u, c, epsH, delta, maxWalks = 20000, seed = 5)
     assert(a.L == b.L && a.h == b.h && a.attention == b.attention)
+  }
+
+  // L against the oracle: Algorithm 2's rule applied to the DataFrame
+  // groupBy(step, node).count of the per-visit walk rows.
+  for (name <- Seq("toy", "er60", "pl80", "cycle8")) {
+    test(s"detected L equals the L of the groupBy-count oracle on $name") {
+      val g     = TestGraphs.directed(spark).toMap.apply(name)
+      val u     = (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get
+      val epsH  = SourcePush.epsH(0.25, c)
+      val lStar = SourcePush.maxLevelBound(epsH, c)
+      val sg    = SourcePush.run(g, u, c, epsH, delta, maxWalks = 60000, seed = 23)
+      val detected = RandomWalks.sqrtCWalks(g, u, sg.numWalks, c, lStar, seed = 23)
+        .groupBy("step", "node").count()
+        .where(col("step") >= 1 && col("count") >= epsH / 2 * sg.numWalks)
+        .agg(max("step")).collect()(0)
+      val expected = if (detected.isNullAt(0)) 0 else math.min(detected.getInt(0), lStar)
+      assert(expected >= 1, s"$name: the oracle detects no level")
+      assert(sg.L == expected, s"$name: L=${sg.L}, oracle $expected")
+    }
   }
 }
