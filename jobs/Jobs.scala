@@ -33,7 +33,8 @@ object DatasetStatsJob {
 }
 
 /** One single-source SimPush query: prints the top-k results and the query's
-  * internals (L, #attention nodes, time). Args: [dataset] [eps] [k].
+  * internals (L, #attention nodes, |G_u|, time in total and per stage).
+  * Args: [dataset] [eps] [k].
   */
 object SimPushQueryJob {
   def main(args: Array[String]): Unit = {
@@ -47,7 +48,9 @@ object SimPushQueryJob {
     val u = Datasets.queryNodes(ds.graph, 1).head
     val r = SimPush.singleSource(ds.graph, u, SimPushParams(eps))
     println(s"query u=$u eps=$eps: L=${r.L} attention=${r.attentionCount} " +
-      s"G_u edges=${r.sourceGraphEdges} time=${r.millis}ms")
+      s"G_u edges=${r.sourceGraphEdges} time=${r.millis}ms " +
+      f"(source-push ${r.sourcePushNanos / 1e6}%.1f ms, last-meeting ${r.lastMeetingNanos / 1e6}%.1f ms, " +
+      f"reverse-push ${r.reversePushNanos / 1e6}%.1f ms)")
     Metrics.topKEst(r.scores, u, k).foreach { v =>
       println(f"  v=$v%8d  s=${r.scores(v)}%.6f")
     }

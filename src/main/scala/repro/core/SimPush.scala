@@ -28,7 +28,11 @@ final case class SimPushParams(
 
 /** Result of a single-source SimPush query.
   *
-  * @param scores sparse `\tilde s(u, v)` including `u -> 1`; absent nodes are 0
+  * @param scores            sparse `\tilde s(u, v)` including `u -> 1`; absent nodes are 0
+  * @param millis            wall time of the whole query
+  * @param sourcePushNanos   wall time of stage 1 (walks and Source-Push)
+  * @param lastMeetingNanos  wall time of stage 2 (Algorithms 3 and 4); 0 if skipped
+  * @param reversePushNanos  wall time of stage 3 (Reverse-Push); 0 if skipped
   */
 final case class SimPushResult(
     u: Long,
@@ -37,6 +41,9 @@ final case class SimPushResult(
     attentionCount: Int,
     sourceGraphEdges: Long,
     millis: Long,
+    sourcePushNanos: Long,
+    lastMeetingNanos: Long,
+    reversePushNanos: Long,
 )
 
 /** SimPush (Algorithm 1): index-free approximate single-source SimRank.
@@ -53,14 +60,21 @@ object SimPush {
     require(u >= 0 && u < g.numNodes, s"query node $u is outside [0, ${g.numNodes})")
     val t0 = System.nanoTime()
     val sg = SourcePush.run(g, u, p.c, p.epsH, p.delta, p.maxWalks, p.seed)
+    val t1 = System.nanoTime()
+    var lastMeetingNanos, reversePushNanos = 0L
     val scores: Map[Long, Double] =
       if (sg.L == 0 || sg.attentionCount == 0) Map.empty
       else {
         val res = LastMeeting.residues(sg, p.c, g.local)
-        ReversePush.run(g, res, sg.L, p.c, p.epsH)
+        val t2  = System.nanoTime()
+        val est = ReversePush.run(g, res, sg.L, p.c, p.epsH)
+        lastMeetingNanos = t2 - t1
+        reversePushNanos = System.nanoTime() - t2
+        est
       }
     val withSelf = scores - u + (u -> 1.0) // Algorithm 5, line 10
     val millis   = (System.nanoTime() - t0) / 1000000
-    SimPushResult(u, withSelf, sg.L, sg.attentionCount, sg.numEdges, millis)
+    SimPushResult(u, withSelf, sg.L, sg.attentionCount, sg.numEdges, millis,
+      t1 - t0, lastMeetingNanos, reversePushNanos)
   }
 }

@@ -98,6 +98,12 @@ final class LocalGraph(
   @transient private lazy val slots: ThreadLocal[Array[Int]] =
     ThreadLocal.withInitial(() => Array.fill(n)(-1))
 
+  /** This thread's `n`-sized slot scratch (the one [[push]] uses), all -1.
+    * A borrower maps nodes to dense indices in it, must not call [[push]]
+    * while it holds entries, and must leave it all -1 (in a `finally`).
+    */
+  private[repro] def slotScratch: Array[Int] = slots.get()
+
   /** The level-push kernel behind every level-wise propagation in this repo
     * (Source-Push, Reverse-Push and the baselines' pushes). Mass `h` at a
     * frontier node flows along each of its edges `x -> y` with weight

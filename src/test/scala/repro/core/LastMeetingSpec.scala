@@ -114,4 +114,54 @@ class LastMeetingSpec extends SparkSpec {
       assert(shallow.exists(_ < 1.0), "expected re-meeting corrections on the cycle")
     }
   }
+
+  // --- Algorithm 3 at benchmark scale ---
+
+  // pokec-lite (n = 1,600, m = 30k) at eps = 0.05 and the query nodes of
+  // SimPushSpec's Theorem 1 test: every attention row, to every attention
+  // target at the same or a deeper level, against the in-G_u DP.
+  test("G_u hitting probabilities match the in-G_u DP on pokec-lite at eps=0.05") {
+    val g = repro.eval.Datasets.standard(spark).find(_.name == "pokec-lite").get.graph
+    val p = SimPushParams(0.05)
+    for (u <- repro.eval.Datasets.queryNodes(g, 3)) {
+      val sg = SourcePush.run(g, u, p.c, p.epsH, p.delta, p.maxWalks, p.seed)
+      assert(sg.L >= 2 && sg.attentionCount > 1, s"u=$u: L=${sg.L}, ${sg.attentionCount} attention nodes")
+      val hp = LastMeeting.hittingProbs(sg, p.c, g.local)
+      for (l <- 1 to sg.L; w <- sg.attention(l).keys) {
+        val dp      = TestRefs.guHittingDP(sg, p.c, l, w)
+        val entries = hp(l)(w)
+        assert(entries.keys.forall { case (lvl, wi) => lvl >= l && sg.attention(lvl).contains(wi) },
+          s"u=$u: non-attention target from ($l,$w)")
+        for (lvl <- l to sg.L; wi <- sg.attention(lvl).keys) {
+          val got = entries.getOrElse((lvl, wi), 0.0); val want = dp.getOrElse((lvl, wi), 0.0)
+          assert(math.abs(got - want) <= 1e-12, s"u=$u: h~ from ($l,$w) to ($lvl,$wi): $got vs $want")
+        }
+      }
+    }
+  }
+
+  // --- the slot scratch of the sweep ---
+
+  test("hittingProbs leaves the graph's slot scratch clean, even when it throws") {
+    val g     = TestGraphs.all(spark).toMap.apply("pl80")
+    val local = g.local
+    val p     = SimPushParams(0.1)
+    val Seq(sgA, sgB) = (0 until 80).filter(local.inDeg(_) > 0).iterator
+      .map(u => SourcePush.run(g, u.toLong, c, p.epsH, delta, maxWalks = 60000, seed = 33))
+      .filter(sg => sg.L >= 2 && sg.attention(2).nonEmpty).take(2).toSeq
+    // A copy of the CSR with the same in-neighbor lists has its own scratch.
+    def fresh() = repro.graph.LocalGraph.fromEdges(local.n,
+      (0 until local.n).flatMap(v => local.inNeighbors(v).map(x => (x, v))))
+    val aloneA = LastMeeting.hittingProbs(sgA, c, fresh())
+    val aloneB = LastMeeting.hittingProbs(sgB, c, fresh())
+    assert(aloneA != aloneB)
+    assert(LastMeeting.hittingProbs(sgA, c, local) == aloneA)
+    assert(LastMeeting.hittingProbs(sgB, c, local) == aloneB)
+    // A G_u edge into a node outside [0, n) fails while level 1 is being built.
+    val w2  = sgA.attention(2).keys.head
+    val bad = sgA.copy(downEdges = sgA.downEdges.updated(1, sgA.downEdges(1) :+ ((w2, local.n.toLong))))
+    intercept[ArrayIndexOutOfBoundsException](LastMeeting.hittingProbs(bad, c, local))
+    assert(LastMeeting.hittingProbs(sgB, c, local) == aloneB)
+    assert(LastMeeting.hittingProbs(sgA, c, local) == aloneA)
+  }
 }

@@ -124,6 +124,21 @@ class SimPushSpec extends SparkSpec {
     assert(r.attentionCount <= math.sqrt(c) / ((1 - math.sqrt(c)) * p.epsH) + 1)
     assert(r.millis >= 0)
   }
+
+  test("stage times are non-negative and add up to at most the query time") {
+    val cases = Seq("pl80", "er60").map { name =>
+      val g = TestGraphs.all(spark).toMap.apply(name)
+      g -> (0 until g.numNodes.toInt).find(g.local.inDeg(_) > 0).get.toLong
+    } :+ (TestGraphs.star(spark) -> 3L) // L = 0: stages 2 and 3 are skipped
+    for ((g, u) <- cases) {
+      val r      = SimPush.singleSource(g, u, SimPushParams(0.1))
+      val stages = Seq(r.sourcePushNanos, r.lastMeetingNanos, r.reversePushNanos)
+      assert(stages.forall(_ >= 0), s"u=$u: $stages")
+      assert(stages.sum <= r.millis * 1000000L + 1000000L, s"u=$u: $stages over ${r.millis} ms")
+      if (r.attentionCount == 0) assert(r.lastMeetingNanos == 0 && r.reversePushNanos == 0)
+      else assert(r.sourcePushNanos > 0 && r.lastMeetingNanos > 0 && r.reversePushNanos > 0)
+    }
+  }
 }
 
 /** Exact ground truth per test graph, computed once per JVM. */

@@ -124,4 +124,49 @@ class SyntheticSourceGraphSpec extends AnyFunSuite {
       }
     }
   }
+
+  /** `sg` with no attention node at the given levels. The generator above
+    * puts one on every level, but measured bench queries leave the deepest
+    * 2-3 levels without one (attention per level e.g. 16,16,3,2,1,1,0,0,0),
+    * so some attention-index ranges of Algorithms 3-4 are empty.
+    */
+  private def withoutAttention(sg: SourceGraph, levels: Set[Int]): SourceGraph =
+    sg.copy(attention = sg.attention.zipWithIndex.map { case (a, l) =>
+      if (levels(l)) Map.empty[Long, Double] else a
+    })
+
+  for (seed <- 1 to 12) {
+    test(s"Algorithms 3 and 4 match the DPs with attention-free levels (seed $seed)") {
+      val (full, local) = randomSourceGraph(seed + 1300)
+      val deepest = full.L
+      val middle  = (1 + full.L) / 2
+      val emptied = Seq(Set(deepest), Set(deepest - 1, deepest)) ++
+        (if (middle > 1 && middle < deepest) Seq(Set(middle), Set(middle, deepest)) else Nil)
+      for (levels <- emptied) {
+        val sg = withoutAttention(full, levels)
+        assert(levels.forall(sg.attention(_).isEmpty))
+        if (sg.attentionCount > 0) {
+          val hp = LastMeeting.hittingProbs(sg, c, local)
+          val gm = LastMeeting.gammas(sg, hp)
+          assert(gm.keySet == (1 to sg.L).flatMap(l => sg.attention(l).keys.map(w => (l, w))).toSet)
+          for (l <- 1 to sg.L; w <- sg.attention(l).keys) {
+            val dp = TestRefs.guHittingDP(sg, c, l, w)
+            for (lvl <- l to sg.L; wi <- sg.attention(lvl).keys) {
+              val got = hp(l)(w).getOrElse((lvl, wi), 0.0)
+              assert(math.abs(got - dp.getOrElse((lvl, wi), 0.0)) < 1e-12,
+                s"levels $levels emptied: h~ from ($l,$w) to ($lvl,$wi)")
+            }
+            assert(hp(l)(w).keys.forall { case (lvl, wi) => sg.attention(lvl).contains(wi) })
+            assert(math.abs(gm((l, w)) - TestRefs.gammaPairDP(sg, c, l, w)) < 1e-12,
+              s"levels $levels emptied: gamma($l,$w)")
+          }
+        }
+      }
+    }
+  }
+
+  test("the attention-free-level seeds cover an empty middle level") {
+    val covered = (1 to 12).map(seed => randomSourceGraph(seed + 1300)._1.L).count(_ >= 3)
+    assert(covered >= 3, s"only $covered of 12 seeds have L >= 3")
+  }
 }
