@@ -146,6 +146,9 @@ object LastMeeting {
       val entries = hp(ix.level(a)).getOrElse(ix.node(a), mutable.Map.empty[LevelNode, Double])
       Array.tabulate(size - base)(k => entries.getOrElse(ix.key(base + k), 0.0))
     }
+    // Reverse-Push adds the residues in this map's iteration order, so it is
+    // filled as a hash map in index order, then copied: the order, and with
+    // it every score, stays a function of G_u.
     val out = mutable.Map.empty[LevelNode, Double]
     // rho(i)(w_i) of Equations 10 and 11 for the current w, by attention index.
     val rho = new Array[Double](size)
